@@ -5,8 +5,9 @@
 #      ctest targets), then the whole-program lint with its <5s latency budget
 #      and SARIF export
 #   3. bench smoke run (label bench-smoke)
-#   4. one sanitizer tree (default: undefined; override with SANITIZER=)
-#   5. format check of changed files, when clang-format is installed
+#   4. repository benchmark: qbench helper self-test and a 1 s long_docs run
+#   5. one sanitizer tree (default: undefined; override with SANITIZER=)
+#   6. format check of changed files, when clang-format is installed
 #
 # Usage: scripts/check.sh [--skip-sanitizer]
 set -euo pipefail
@@ -52,6 +53,13 @@ echo "==> bench smoke"
 # 0 == pure MST, inf == pure linear, byte-identical KBs) on every run; the
 # wall-time/F1 frontier gates are hard only on full `parser_frontier` runs.
 (cd build && ctest --output-on-failure -L bench-smoke)
+
+echo "==> repository benchmark (qbench self-test + long_docs run)"
+# qbench builds its own tree under .bench_build/. run.py exits non-zero when
+# any output check fails; on long_docs that includes 2-thread == serial
+# BuildKb, so the exit code gates determinism of the parallel build.
+python3 qbench/run.py --self-test
+python3 qbench/run.py --workload long_docs --seed 1 --seconds 1 --trace 0
 
 echo "==> metrics exporter schema check"
 # qkbfly_serve validates its JSON export against the registry schema before

@@ -199,6 +199,10 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
     }
     span.AddAttribute("assignments",
                       static_cast<int64_t>(result.densified.assignments.size()));
+    span.AddAttribute("edges_removed",
+                      static_cast<int64_t>(result.densified.edges_removed));
+    span.AddAttribute("contributions_evaluated",
+                      result.densified.contributions_evaluated);
   }
   result.timings.densify_s = stage.ElapsedSeconds();
   densify_seconds_->Observe(result.timings.densify_s);

@@ -13,6 +13,7 @@
 #define QKBFLY_DENSIFY_EVALUATOR_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -42,9 +43,16 @@ struct DensifyResult {
   double objective = 0.0;  ///< W(S*) of the final subgraph.
   int edges_removed = 0;
 
+  /// Contribution evaluations the greedy loop made: one per removable edge
+  /// to seed the heap, plus one per recomputation after each removal.
+  /// Confidence scoring is not counted. Zero for the ILP and pipeline
+  /// densifiers.
+  int64_t contributions_evaluated = 0;
+
   /// Edge ids in the order the greedy loop deactivated them. Deterministic:
-  /// ties on contribution break toward the smaller EdgeId, so the heap and
-  /// scan strategies produce identical sequences run after run.
+  /// ties on contribution break toward the smaller EdgeId, so the sequence
+  /// equals that of a brute-force greedy that rescans every removable edge
+  /// at every step, run after run.
   std::vector<EdgeId> removal_order;
 
   /// Antecedent of a pronoun node, or kNoNode.
@@ -64,6 +72,7 @@ struct DensifyResult {
     removal_order.clear();
     objective = 0.0;
     edges_removed = 0;
+    contributions_evaluated = 0;
   }
 };
 

@@ -1,9 +1,6 @@
 #include "densify/greedy_densifier.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/graph_invariants.h"
 #include "util/invariants.h"
@@ -22,55 +19,32 @@ NodeId MentionOfEdge(const SemanticGraph& graph, EdgeId e) {
   return graph.node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b;
 }
 
-// Mention adjacency over relation and sameAs edges, used to invalidate
-// cached contributions selectively (the paper's "selective and incremental"
-// recomputation): removing an edge at mention m can only change
-// contributions within two hops of m (pronoun unions span one hop, their
-// relation edges another). Built once over ALL relation/sameAs edges
-// regardless of active flag, exactly like the original scan path.
-//
-// CSR flavor into the retained workspace: the per-node neighbor lists come
-// out in ascending edge order, the same order the legacy map's vectors had.
-void BuildMentionAdjacencyFlat(const SemanticGraph& graph,
-                               DensifyWorkspace* ws) {
+// Symmetric neighbour CSR over the edges `keep` accepts, into retained
+// workspace vectors: per node, the other endpoints in ascending edge order.
+// Built over every such edge regardless of its active flag, so it is a
+// static superset of what the loop may read.
+template <typename Keep>
+void BuildNeighbourCsr(const SemanticGraph& graph, Keep keep,
+                       DensifyWorkspace::NeighbourCsr* out,
+                       std::vector<uint32_t>* cursor) {
   const size_t n = graph.node_count();
   const size_t edges = graph.edge_count();
-  ws->adj_off.assign(n + 1, 0);
+  out->off.assign(n + 1, 0);
   for (size_t e = 0; e < edges; ++e) {
     const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    ++ws->adj_off[static_cast<size_t>(edge.a) + 1];
-    ++ws->adj_off[static_cast<size_t>(edge.b) + 1];
+    if (!keep(edge)) continue;
+    ++out->off[static_cast<size_t>(edge.a) + 1];
+    ++out->off[static_cast<size_t>(edge.b) + 1];
   }
-  for (size_t i = 0; i < n; ++i) ws->adj_off[i + 1] += ws->adj_off[i];
-  ws->cursor.assign(ws->adj_off.begin(), ws->adj_off.end() - 1);
-  ws->adj_data.resize(ws->adj_off[n]);
+  for (size_t i = 0; i < n; ++i) out->off[i + 1] += out->off[i];
+  cursor->assign(out->off.begin(), out->off.end() - 1);
+  out->data.resize(out->off[n]);
   for (size_t e = 0; e < edges; ++e) {
     const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    ws->adj_data[ws->cursor[static_cast<size_t>(edge.a)]++] = edge.b;
-    ws->adj_data[ws->cursor[static_cast<size_t>(edge.b)]++] = edge.a;
+    if (!keep(edge)) continue;
+    out->data[(*cursor)[static_cast<size_t>(edge.a)]++] = edge.b;
+    out->data[(*cursor)[static_cast<size_t>(edge.b)]++] = edge.a;
   }
-}
-
-// Reference-path adjacency (hash map), kept for the scan loop so that code
-// stays byte-for-byte the historical implementation.
-std::unordered_map<NodeId, std::vector<NodeId>> BuildMentionAdjacency(
-    const SemanticGraph& graph) {
-  std::unordered_map<NodeId, std::vector<NodeId>> adjacency;
-  for (size_t e = 0; e < graph.edge_count(); ++e) {
-    const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    adjacency[edge.a].push_back(edge.b);
-    adjacency[edge.b].push_back(edge.a);
-  }
-  return adjacency;
 }
 
 // Min-heap on contribution, then on EdgeId — ties between distinct edges
@@ -106,16 +80,7 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
 
   eval.SnapshotOriginalMeans();
   eval.Preprocess();
-
-  if (strategy_ == DensifyStrategy::kHeap) {
-    RunHeapLoop(&eval, graph, result);
-  } else {
-    // The scan loop is the historical reference implementation; it allocates
-    // (hash-map adjacency, contribution cache) by design and is excluded from
-    // the zero-allocation contract, mirroring densify_alloc_test.
-    // qkbfly-lint: allow(A1)
-    RunScanLoop(&eval, graph, result);
-  }
+  RunHeapLoop(&eval, graph, result);
 
   // After the removal loop the O(1) degree counters must agree with a full
   // recount, or removability decisions (and thus the KB) were wrong. The
@@ -134,21 +99,46 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
 //     the initial RemovableEdges() snapshot is a superset of every later
 //     removable set, and an edge that fails IsRemovable() can be dropped
 //     from the heap permanently.
-//  2. Two-hop locality: a removal at mention m only changes contributions of
-//     edges whose mention lies within two adjacency hops of m. Those are
-//     recomputed eagerly (bumping the edge's version so stale heap entries
-//     are discarded on pop); everything else keeps its cached value, exactly
-//     as the scan path kept its cache entries.
+//  2. Exact read sets: after a removal, every edge whose Contribution reads
+//     something the removal changed is recomputed eagerly (bumping its
+//     version so stale heap entries are discarded on pop); every other edge
+//     keeps a cached value that is still exact. A node's "side" is its
+//     active candidate set. Contribution(e) reads the sides of both
+//     endpoints of the relation edges incident to its sources: its mention,
+//     plus, for a means edge, the pronouns sameAs-linked to that noun
+//     phrase. Removing a means edge at noun phrase m changes the side of m
+//     and of every pronoun sameAs-linked to m; removing a pronoun sameAs
+//     edge (p, np) changes the side of p and the source set of np's means
+//     edges. So the loop recomputes the removable edges of each changed
+//     node y, of y's relation neighbours s, and of the noun phrases
+//     sameAs-linked to any such pronoun s (for a sameAs removal, np is one
+//     of those, with s = y = p). NP-NP sameAs edges are read only by
+//     Preprocess and play no part.
 //
-// Ties on contribution break toward the smaller EdgeId via the heap order,
-// matching the scan path's explicit (c, EdgeId) tie-break. All loop state
-// (heap vector, version array, edges-of-mention buckets, epoch-marked dirty
-// set) lives in the retained workspace: zero heap traffic once warm.
+// Together these make every pop the brute-force greedy choice: the minimum
+// (contribution, EdgeId) over the currently removable edges, with ties
+// breaking toward the smaller EdgeId via the heap order. All loop state
+// (heap vector, version array, neighbour and edges-of-mention CSRs,
+// epoch-marked dirty set) lives in the retained workspace: zero heap
+// traffic once warm.
 void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
                                   DensifyResult* result) const {
   DensifyWorkspace& ws = eval->workspace();
   const size_t n = graph->node_count();
-  BuildMentionAdjacencyFlat(*graph, &ws);
+  BuildNeighbourCsr(
+      *graph,
+      [](const GraphEdge& edge) { return edge.kind == EdgeKind::kRelation; },
+      &ws.relation_nbrs, &ws.cursor);
+  BuildNeighbourCsr(
+      *graph,
+      [graph](const GraphEdge& edge) {
+        if (edge.kind != EdgeKind::kSameAs) return false;
+        const NodeKind ka = graph->node(edge.a).kind;
+        const NodeKind kb = graph->node(edge.b).kind;
+        return (ka == NodeKind::kPronoun && kb == NodeKind::kNounPhrase) ||
+               (ka == NodeKind::kNounPhrase && kb == NodeKind::kPronoun);
+      },
+      &ws.pronoun_np_nbrs, &ws.cursor);
 
   ws.version.assign(graph->edge_count(), 0);
   ws.dirty_mark.assign(n, 0);
@@ -175,12 +165,33 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     ws.heap.push_back({eval->Contribution(e), e, 0});
     std::push_heap(ws.heap.begin(), ws.heap.end(), order);
   }
+  result->contributions_evaluated += static_cast<int64_t>(ws.removable.size());
 
   auto add_dirty = [&ws](NodeId d) {
     uint32_t& mark = ws.dirty_mark[static_cast<size_t>(d)];
     if (mark != ws.dirty_epoch) {
       mark = ws.dirty_epoch;
       ws.dirty.push_back(d);
+    }
+  };
+  // A source s: its own removable edges read it, and so do the means edges
+  // of every noun phrase a pronoun s is sameAs-linked to.
+  const DensifyWorkspace::NeighbourCsr& rel = ws.relation_nbrs;
+  const DensifyWorkspace::NeighbourCsr& pro_np = ws.pronoun_np_nbrs;
+  auto add_source = [&](NodeId s) {
+    add_dirty(s);
+    if (graph->node(s).kind != NodeKind::kPronoun) return;
+    const size_t i = static_cast<size_t>(s);
+    for (uint32_t k = pro_np.off[i]; k < pro_np.off[i + 1]; ++k) {
+      add_dirty(pro_np.data[k]);
+    }
+  };
+  // The side of y changed: every source on a relation edge at y reads it.
+  auto add_readers_of_side = [&](NodeId y) {
+    add_source(y);
+    const size_t i = static_cast<size_t>(y);
+    for (uint32_t k = rel.off[i]; k < rel.off[i + 1]; ++k) {
+      add_source(rel.data[k]);
     }
   };
 
@@ -196,79 +207,30 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     result->removal_order.push_back(top.e);
     ++ws.version[static_cast<size_t>(top.e)];  // no heap entry survives removal
 
-    const NodeId mention = MentionOfEdge(*graph, top.e);
     ++ws.dirty_epoch;
     ws.dirty.clear();
-    add_dirty(mention);
-    const size_t m = static_cast<size_t>(mention);
-    for (uint32_t a = ws.adj_off[m]; a < ws.adj_off[m + 1]; ++a) {
-      const NodeId n1 = ws.adj_data[a];
-      add_dirty(n1);
-      const size_t i1 = static_cast<size_t>(n1);
-      for (uint32_t b = ws.adj_off[i1]; b < ws.adj_off[i1 + 1]; ++b) {
-        add_dirty(ws.adj_data[b]);
+    const GraphEdge& removed = graph->edge(top.e);
+    if (removed.kind == EdgeKind::kMeans) {
+      const size_t m = static_cast<size_t>(removed.a);
+      add_readers_of_side(removed.a);
+      for (uint32_t k = pro_np.off[m]; k < pro_np.off[m + 1]; ++k) {
+        add_readers_of_side(pro_np.data[k]);
       }
+    } else {
+      // The pronoun's side changed, and np's means edges lost it as a
+      // source; np is sameAs-linked to the pronoun, so add_source marks it.
+      add_readers_of_side(MentionOfEdge(*graph, top.e));
     }
     for (NodeId d : ws.dirty) {
       const size_t id = static_cast<size_t>(d);
       for (uint32_t k = ws.eom_off[id]; k < ws.eom_off[id + 1]; ++k) {
         const EdgeId de = ws.eom_data[k];
-        if (de == top.e) continue;
         if (!eval->IsRemovable(de)) continue;  // never coming back; skip
         ++ws.version[static_cast<size_t>(de)];
         ws.heap.push_back({eval->Contribution(de), de,
                            ws.version[static_cast<size_t>(de)]});
         std::push_heap(ws.heap.begin(), ws.heap.end(), order);
-      }
-    }
-  }
-}
-
-// Reference loop: the pre-heap implementation, kept runtime-selectable for
-// the hot-path benchmark and the cross-strategy determinism tests. The only
-// change from the historical code is the explicit (c, EdgeId) tie-break,
-// which is a no-op for builder-produced graphs (RemovableEdges enumerates
-// them in ascending EdgeId order) but makes the two strategies agree on any
-// graph.
-void GreedyDensifier::RunScanLoop(DensifyEvaluator* eval, SemanticGraph* graph,
-                                  DensifyResult* result) const {
-  auto adjacency = BuildMentionAdjacency(*graph);
-
-  std::unordered_map<EdgeId, double> cache;
-  while (true) {
-    auto removable = eval->RemovableEdges();
-    if (removable.empty()) break;
-
-    EdgeId best_edge = removable.front();
-    double best_contribution = std::numeric_limits<double>::infinity();
-    for (EdgeId e : removable) {
-      auto it = cache.find(e);
-      double c = it != cache.end() ? it->second : eval->Contribution(e);
-      if (it == cache.end()) cache.emplace(e, c);
-      if (c < best_contribution ||
-          (c == best_contribution && e < best_edge)) {
-        best_contribution = c;
-        best_edge = e;
-      }
-    }
-
-    NodeId mention = MentionOfEdge(*graph, best_edge);
-    graph->SetEdgeActive(best_edge, false);
-    ++result->edges_removed;
-    result->removal_order.push_back(best_edge);
-    cache.erase(best_edge);
-
-    // Invalidate cached contributions within two hops of the mention.
-    std::unordered_set<NodeId> dirty = {mention};
-    for (NodeId n1 : adjacency[mention]) {
-      dirty.insert(n1);
-      for (NodeId n2 : adjacency[n1]) dirty.insert(n2);
-    }
-    for (auto it = cache.begin(); it != cache.end();) {
-      if (dirty.count(MentionOfEdge(*graph, it->first)) > 0) {
-        it = cache.erase(it);
-      } else {
-        ++it;
+        ++result->contributions_evaluated;
       }
     }
   }

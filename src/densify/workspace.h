@@ -22,6 +22,10 @@ namespace qkbfly {
 /// empty sentinel (unreachable for the entity/type keys stored here: valid
 /// entity ids are < kInvalidEntity and uncacheable keys bypass the memo).
 /// Reset() refills the sentinel in place; the table only ever grows.
+///
+/// Slots come from fmix64(key), not the raw key: the stored keys have the
+/// shape (e1 << 32) | e2, whose low bits repeat across every pair sharing
+/// e2, and consecutive entity ids would otherwise merge into long probe runs.
 class FlatPairCache {
  public:
   static constexpr uint64_t kEmptyKey = ~0ull;
@@ -40,7 +44,7 @@ class FlatPairCache {
   const double* Lookup(uint64_t key) const {
     if (keys_.empty()) return nullptr;
     size_t mask = keys_.size() - 1;
-    for (size_t i = key & mask;; i = (i + 1) & mask) {
+    for (size_t i = Slot(key) & mask;; i = (i + 1) & mask) {
       if (keys_[i] == key) return &values_[i];
       if (keys_[i] == kEmptyKey) return nullptr;
     }
@@ -49,7 +53,7 @@ class FlatPairCache {
   void Insert(uint64_t key, double value) {
     if (keys_.empty() || (count_ + 1) * 4 > keys_.size() * 3) Grow();
     size_t mask = keys_.size() - 1;
-    for (size_t i = key & mask;; i = (i + 1) & mask) {
+    for (size_t i = Slot(key) & mask;; i = (i + 1) & mask) {
       if (keys_[i] == kEmptyKey) {
         keys_[i] = key;
         values_[i] = value;
@@ -59,7 +63,20 @@ class FlatPairCache {
     }
   }
 
+  /// Slot count; Reset() never lowers it.
+  size_t capacity() const { return keys_.size(); }
+
  private:
+  // MurmurHash3's 64-bit finalizer: every key bit reaches the low bits.
+  static size_t Slot(uint64_t key) {
+    key ^= key >> 33;
+    key *= 0xff51afd7ed558ccdull;
+    key ^= key >> 33;
+    key *= 0xc4ceb9fe1a85ec53ull;
+    key ^= key >> 33;
+    return static_cast<size_t>(key);
+  }
+
   void Grow() {
     std::vector<uint64_t> old_keys;
     std::vector<double> old_values;
@@ -189,8 +206,16 @@ struct DensifyWorkspace {
     EdgeId e = -1;
     uint32_t version = 0;
   };
-  std::vector<uint32_t> adj_off;  ///< Mention adjacency CSR (node_count + 1).
-  std::vector<NodeId> adj_data;
+  // Read-set neighbour CSRs, built over every edge of the kind regardless of
+  // its active flag: relation neighbours, and pronoun <-> noun-phrase sameAs
+  // neighbours. NP-NP sameAs edges are read only by Preprocess, so they
+  // never enter either list.
+  struct NeighbourCsr {
+    std::vector<uint32_t> off;  ///< node_count + 1
+    std::vector<NodeId> data;
+  };
+  NeighbourCsr relation_nbrs;
+  NeighbourCsr pronoun_np_nbrs;
   std::vector<EdgeId> removable;
   std::vector<uint32_t> eom_off;  ///< Edges-of-mention CSR (node_count + 1).
   std::vector<EdgeId> eom_data;

@@ -1,36 +1,11 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace qkbfly {
-
-namespace {
-
-// True if the (lowercased) token multiset of the shorter mention is contained
-// in the longer one: "Pitt" matches "Brad Pitt"; "Angelina Jolie" matches
-// "Jolie". Used to initialize sameAs edges between names of one NER type.
-bool NameStringMatch(const std::string& a, const std::string& b) {
-  if (EqualsIgnoreCase(a, b)) return true;
-  std::vector<std::string> ta = SplitWhitespace(Lowercase(a));
-  std::vector<std::string> tb = SplitWhitespace(Lowercase(b));
-  if (ta.empty() || tb.empty()) return false;
-  const auto& small = ta.size() <= tb.size() ? ta : tb;
-  const auto& big = ta.size() <= tb.size() ? tb : ta;
-  std::multiset<std::string> big_set(big.begin(), big.end());
-  for (const std::string& w : small) {
-    auto it = big_set.find(w);
-    if (it == big_set.end()) return false;
-    big_set.erase(it);
-  }
-  return true;
-}
-
-}  // namespace
 
 struct GraphBuilder::BuildState {
   const GraphBuilder* builder;
@@ -264,16 +239,36 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
   }
 
   // --- sameAs edges among noun phrases (string-match co-reference) -----------
+  // Two names match if they are equal ignoring case, or if the lowercased
+  // token multiset of the one with fewer tokens is contained in the other's:
+  // "Pitt" matches "Brad Pitt"; "Angelina Jolie" matches "Jolie". Each noun
+  // phrase is lowercased and split into sorted tokens once, so the quadratic
+  // pair pass is a std::includes over two short sorted ranges.
   auto nps = state.graph.NodesOfKind(NodeKind::kNounPhrase);
+  std::vector<std::vector<std::string>> name_tokens(nps.size());
+  for (size_t i = 0; i < nps.size(); ++i) {
+    const GraphNode& node = state.graph.node(nps[i]);
+    if (node.is_literal) continue;
+    name_tokens[i] = SplitWhitespace(Lowercase(node.text));
+    std::sort(name_tokens[i].begin(), name_tokens[i].end());
+  }
   for (size_t i = 0; i < nps.size(); ++i) {
     const GraphNode& a = state.graph.node(nps[i]);
     if (a.is_literal) continue;
+    const std::vector<std::string>& ta = name_tokens[i];
     for (size_t j = i + 1; j < nps.size(); ++j) {
       const GraphNode& b = state.graph.node(nps[j]);
       if (b.is_literal) continue;
       if (a.ner != b.ner) continue;
       if (a.sentence == b.sentence && a.span == b.span) continue;
-      if (NameStringMatch(a.text, b.text)) {
+      const std::vector<std::string>& tb = name_tokens[j];
+      bool match = EqualsIgnoreCase(a.text, b.text);
+      if (!match && !ta.empty() && !tb.empty()) {
+        const auto& small = ta.size() <= tb.size() ? ta : tb;
+        const auto& big = ta.size() <= tb.size() ? tb : ta;
+        match = std::includes(big.begin(), big.end(), small.begin(), small.end());
+      }
+      if (match) {
         state.graph.AddEdge({EdgeKind::kSameAs, nps[i], nps[j], "", true});
       }
     }

@@ -1,6 +1,7 @@
 // Unit and property tests for the densification machinery: the evaluator's
-// candidate sets, constraints (1)-(4) on exit, objective monotonicity, and
-// agreement properties across the three inference variants.
+// candidate sets, constraints (1)-(4) on exit, objective monotonicity,
+// agreement properties across the three inference variants, and the
+// FlatPairCache pair memo.
 #include "densify/greedy_densifier.h"
 
 #include <gtest/gtest.h>
@@ -170,6 +171,67 @@ TEST(GreedyVsIlpTest, IlpObjectiveAtLeastGreedyOnSmallGraphs) {
                    .Densify(&ilp_p.graph, ilp_p.doc);
     EXPECT_GE(ilp.objective, greedy.objective - 1e-6) << gd.doc.text;
   }
+}
+
+// ---------------------------------------------------------------------------
+// FlatPairCache: the open-addressing pair memo behind the weight lanes
+// ---------------------------------------------------------------------------
+
+uint64_t PairKey(uint32_t e1, uint32_t e2) {
+  return (static_cast<uint64_t>(e1) << 32) | e2;
+}
+
+TEST(FlatPairCacheTest, KeysSharingTheirLowHalfStayDistinct) {
+  // Every key has the same low 32 bits (one e2, many e1): a slot taken from
+  // the raw key would send them all to one probe run.
+  FlatPairCache cache;
+  cache.Reset(512);
+  for (uint32_t e1 = 0; e1 < 512; ++e1) {
+    cache.Insert(PairKey(e1, 7), static_cast<double>(e1) + 0.5);
+  }
+  for (uint32_t e1 = 0; e1 < 512; ++e1) {
+    const double* hit = cache.Lookup(PairKey(e1, 7));
+    ASSERT_NE(hit, nullptr) << e1;
+    EXPECT_EQ(*hit, static_cast<double>(e1) + 0.5);
+  }
+  EXPECT_EQ(cache.Lookup(PairKey(512, 7)), nullptr);
+  EXPECT_EQ(cache.Lookup(PairKey(3, 8)), nullptr);
+}
+
+TEST(FlatPairCacheTest, LookupsSurviveGrow) {
+  FlatPairCache cache;
+  cache.Reset(4);
+  const size_t initial = cache.capacity();
+  for (uint32_t e1 = 0; e1 < 40; ++e1) {
+    for (uint32_t e2 = 0; e2 < 40; ++e2) {
+      cache.Insert(PairKey(e1, e2), e1 * 100.0 + e2);
+    }
+  }
+  EXPECT_GT(cache.capacity(), initial);
+  for (uint32_t e1 = 0; e1 < 40; ++e1) {
+    for (uint32_t e2 = 0; e2 < 40; ++e2) {
+      const double* hit = cache.Lookup(PairKey(e1, e2));
+      ASSERT_NE(hit, nullptr) << e1 << "," << e2;
+      EXPECT_EQ(*hit, e1 * 100.0 + e2);
+    }
+  }
+  EXPECT_EQ(cache.Lookup(PairKey(40, 0)), nullptr);
+}
+
+TEST(FlatPairCacheTest, ResetEmptiesAndKeepsCapacity) {
+  FlatPairCache cache;
+  EXPECT_EQ(cache.Lookup(PairKey(1, 2)), nullptr);  // never reset: no table
+  cache.Reset(100);
+  for (uint32_t e1 = 0; e1 < 300; ++e1) cache.Insert(PairKey(e1, 1), 1.0);
+  const size_t grown = cache.capacity();
+  cache.Reset(4);
+  EXPECT_EQ(cache.capacity(), grown);
+  for (uint32_t e1 = 0; e1 < 300; ++e1) {
+    EXPECT_EQ(cache.Lookup(PairKey(e1, 1)), nullptr);
+  }
+  cache.Insert(PairKey(5, 1), 2.5);
+  ASSERT_NE(cache.Lookup(PairKey(5, 1)), nullptr);
+  EXPECT_EQ(*cache.Lookup(PairKey(5, 1)), 2.5);
 }
 
 }  // namespace

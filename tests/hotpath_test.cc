@@ -1,6 +1,7 @@
 // Tests for the single-core hot-path rewrite: the interned-symbol table, the
 // trie-backed gazetteer (against its linear reference), LooseCandidates
-// dedup/ordering, and the heap-driven densifier's determinism guarantees.
+// dedup/ordering, and the heap-driven densifier against a brute-force greedy
+// oracle, plus its determinism and work-proportionality guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,13 +237,18 @@ TEST_F(LooseCandidatesTest, NeverInternedTokenProposesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Densifier determinism: heap vs scan, run-to-run, EdgeId tie-breaking
+// Densifier: heap loop vs a brute-force oracle, run-to-run determinism,
+// EdgeId tie-breaking, and work that stays proportional to the removals
 // ---------------------------------------------------------------------------
 
+// One long Wikia recap page rides along with the wiki articles: its repeated
+// character names form the NP-NP sameAs cliques the loop must see through.
 const SynthDataset& Dataset() {
   static const SynthDataset* ds = [] {
     DatasetConfig config;
     config.wiki_eval_articles = 12;
+    config.wikia_pages = 1;
+    config.wikia_facts_per_page = 144;
     return BuildDataset(config).release();
   }();
   return *ds;
@@ -264,6 +270,18 @@ Prepared Prepare(const Document& doc) {
   return p;
 }
 
+// The document's text `copies` times over: same-surface mentions in every
+// copy link up into NP-NP sameAs cliques that grow with the copy count.
+Document Repeated(const Document& doc, int copies) {
+  Document out = doc;
+  out.text.clear();
+  for (int i = 0; i < copies; ++i) {
+    if (i > 0) out.text += ' ';
+    out.text += doc.text;
+  }
+  return out;
+}
+
 std::vector<bool> ActiveFlags(const SemanticGraph& graph) {
   std::vector<bool> out;
   for (size_t e = 0; e < graph.edge_count(); ++e) {
@@ -272,35 +290,102 @@ std::vector<bool> ActiveFlags(const SemanticGraph& graph) {
   return out;
 }
 
-TEST(DensifyDeterminismTest, HeapAndScanProduceIdenticalResults) {
+// Greedy Algorithm 1 without any incremental state: at every step evaluate
+// every removable edge and remove the minimum (contribution, EdgeId). Same
+// preprocessing, objective, confidences and antecedents as
+// GreedyDensifier::Densify.
+DensifyResult BruteForceDensify(SemanticGraph* graph,
+                                const AnnotatedDocument& doc) {
   const auto& ds = Dataset();
-  DensifyParams params;
-  GreedyDensifier heap(&ds.stats, ds.repository.get(), params,
-                       DensifyStrategy::kHeap);
-  GreedyDensifier scan(&ds.stats, ds.repository.get(), params,
-                       DensifyStrategy::kScan);
+  DensifyResult result;
+  DensifyEvaluator eval(graph, doc, &ds.stats, ds.repository.get(),
+                        DensifyParams());
+  eval.SnapshotOriginalMeans();
+  eval.Preprocess();
+  while (true) {
+    const std::vector<EdgeId> removable = eval.RemovableEdges();
+    if (removable.empty()) break;
+    EdgeId best = -1;
+    double best_c = 0.0;
+    for (EdgeId e : removable) {
+      const double c = eval.Contribution(e);
+      if (best < 0 || c < best_c || (c == best_c && e < best)) {
+        best = e;
+        best_c = c;
+      }
+    }
+    graph->SetEdgeActive(best, false);
+    ++result.edges_removed;
+    result.removal_order.push_back(best);
+  }
+  result.objective = eval.Objective();
+  eval.ComputeConfidencesInto(&result.assignments);
+  result.pronoun_antecedents = ExtractPronounAntecedents(*graph);
+  return result;
+}
+
+void ExpectMatchesOracle(const Document& doc) {
+  const auto& ds = Dataset();
+  GreedyDensifier heap(&ds.stats, ds.repository.get(), DensifyParams());
+  Prepared ph = Prepare(doc);
+  Prepared po = Prepare(doc);
+  ASSERT_EQ(ph.graph.edge_count(), po.graph.edge_count());
+  const DensifyResult rh = heap.Densify(&ph.graph, ph.doc);
+  const DensifyResult ro = BruteForceDensify(&po.graph, po.doc);
+  // Same edges removed, in the same order, leaving the same subgraph.
+  EXPECT_EQ(rh.removal_order, ro.removal_order) << doc.id;
+  EXPECT_EQ(rh.edges_removed, ro.edges_removed) << doc.id;
+  EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(po.graph)) << doc.id;
+  // Same floats, not just approximately.
+  EXPECT_EQ(rh.objective, ro.objective) << doc.id;
+  ASSERT_EQ(rh.assignments.size(), ro.assignments.size()) << doc.id;
+  for (size_t i = 0; i < rh.assignments.size(); ++i) {
+    EXPECT_EQ(rh.assignments[i].mention, ro.assignments[i].mention);
+    EXPECT_EQ(rh.assignments[i].entity, ro.assignments[i].entity);
+    EXPECT_EQ(rh.assignments[i].confidence, ro.assignments[i].confidence);
+    EXPECT_EQ(rh.assignments[i].weight, ro.assignments[i].weight);
+  }
+  EXPECT_EQ(rh.pronoun_antecedents, ro.pronoun_antecedents) << doc.id;
+}
+
+TEST(DensifyOracleTest, HeapMatchesBruteForceOnWikiArticles) {
+  const auto& ds = Dataset();
   int docs = 0;
   for (const GoldDocument& gd : ds.wiki_eval) {
     if (++docs > 6) break;
-    Prepared ph = Prepare(gd.doc);
-    Prepared ps = Prepare(gd.doc);
-    auto rh = heap.Densify(&ph.graph, ph.doc);
-    auto rs = scan.Densify(&ps.graph, ps.doc);
-    // Same edges removed, in the same order, leaving the same subgraph.
-    EXPECT_EQ(rh.removal_order, rs.removal_order) << gd.doc.text;
-    EXPECT_EQ(rh.edges_removed, rs.edges_removed);
-    EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(ps.graph));
-    // Same floats, not just approximately.
-    EXPECT_EQ(rh.objective, rs.objective);
-    ASSERT_EQ(rh.assignments.size(), rs.assignments.size());
-    for (size_t i = 0; i < rh.assignments.size(); ++i) {
-      EXPECT_EQ(rh.assignments[i].mention, rs.assignments[i].mention);
-      EXPECT_EQ(rh.assignments[i].entity, rs.assignments[i].entity);
-      EXPECT_EQ(rh.assignments[i].confidence, rs.assignments[i].confidence);
-      EXPECT_EQ(rh.assignments[i].weight, rs.assignments[i].weight);
-    }
-    EXPECT_EQ(rh.pronoun_antecedents, rs.pronoun_antecedents);
+    ExpectMatchesOracle(gd.doc);
   }
+}
+
+TEST(DensifyOracleTest, HeapMatchesBruteForceOnLongRecapPage) {
+  const auto& ds = Dataset();
+  ASSERT_EQ(ds.wikia.size(), 1u);
+  ExpectMatchesOracle(ds.wikia.front().doc);
+}
+
+TEST(DensifyOracleTest, HeapMatchesBruteForceOnRepeatedArticle) {
+  ExpectMatchesOracle(Repeated(Dataset().wiki_eval.front().doc, 8));
+}
+
+TEST(DensifyWorkTest, ContributionsPerRemovalStayFlatAcrossRepetitions) {
+  // Each copy adds the same removals and the same local dependencies, so
+  // contributions per removed edge must not grow with the copy count, even
+  // though the NP-NP sameAs cliques across copies do.
+  const auto& ds = Dataset();
+  GreedyDensifier densifier(&ds.stats, ds.repository.get(), DensifyParams());
+  const Document& article = ds.wiki_eval.front().doc;
+  double per_removal[2] = {0.0, 0.0};
+  const int copies[2] = {4, 16};
+  for (int k = 0; k < 2; ++k) {
+    Prepared p = Prepare(Repeated(article, copies[k]));
+    const DensifyResult r = densifier.Densify(&p.graph, p.doc);
+    ASSERT_GT(r.edges_removed, 0);
+    EXPECT_GE(r.contributions_evaluated, r.edges_removed);
+    per_removal[k] = static_cast<double>(r.contributions_evaluated) /
+                     static_cast<double>(r.edges_removed);
+  }
+  EXPECT_LE(per_removal[1], 1.5 * per_removal[0])
+      << "x4: " << per_removal[0] << " x16: " << per_removal[1];
 }
 
 TEST(DensifyDeterminismTest, RemovalOrderStableAcrossRuns) {
@@ -322,11 +407,11 @@ TEST(DensifyDeterminismTest, TiesBreakTowardSmallerEdgeId) {
   // Hand-built graph engineered for an exact contribution tie: a pronoun
   // with two sameAs links to noun phrases and no relation edges anywhere.
   // Both sameAs edges then have contribution exactly 0.0, so the loop's
-  // only ordering signal is the EdgeId tie-break. Both strategies must
-  // remove the smaller id and stop (the survivor is no longer removable).
+  // only ordering signal is the EdgeId tie-break. Both the heap loop and
+  // the oracle must remove the smaller id and stop (the survivor is no
+  // longer removable).
   const auto& ds = Dataset();
-  for (DensifyStrategy strategy :
-       {DensifyStrategy::kHeap, DensifyStrategy::kScan}) {
+  for (bool oracle : {false, true}) {
     SemanticGraph graph;
     GraphNode np1;
     np1.kind = NodeKind::kNounPhrase;
@@ -351,12 +436,12 @@ TEST(DensifyDeterminismTest, TiesBreakTowardSmallerEdgeId) {
     ASSERT_LT(first, second);
 
     AnnotatedDocument empty_doc;
-    DensifyParams params;
-    GreedyDensifier densifier(&ds.stats, ds.repository.get(), params, strategy);
-    auto result = densifier.Densify(&graph, empty_doc);
+    GreedyDensifier densifier(&ds.stats, ds.repository.get(), DensifyParams());
+    const DensifyResult result = oracle
+                                     ? BruteForceDensify(&graph, empty_doc)
+                                     : densifier.Densify(&graph, empty_doc);
 
-    ASSERT_EQ(result.removal_order.size(), 1u)
-        << "strategy " << static_cast<int>(strategy);
+    ASSERT_EQ(result.removal_order.size(), 1u) << "oracle " << oracle;
     EXPECT_EQ(result.removal_order.front(), first);
     EXPECT_FALSE(graph.edge(first).active);
     EXPECT_TRUE(graph.edge(second).active);
