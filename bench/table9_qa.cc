@@ -65,8 +65,8 @@ void Run() {
   }
 
   auto snapshot = SnapshotFacts(*ds);
-  // The extraction engine inside the QA system fans retrieved documents
-  // across this many worker threads; answers are identical for any value.
+  // The serving layer inside the QA system fans retrieved documents across
+  // this many worker threads; answers are identical for any value.
   const int kQaThreads = 4;
   std::printf("Table 9: GoogleTrendsQuestions-style benchmark "
               "(%zu test questions, %zu training questions, %d threads)\n\n",

@@ -5,7 +5,8 @@
 #      ctest targets), then the whole-program lint with its <5s latency budget
 #      and SARIF export
 #   3. bench smoke run (label bench-smoke)
-#   4. repository benchmark: qbench helper self-test and a 1 s long_docs run
+#   4. repository benchmark: qbench helper self-test, 1 s long_docs and
+#      zipf_serve runs
 #   5. one sanitizer tree (default: undefined; override with SANITIZER=)
 #   6. format check of changed files, when clang-format is installed
 #
@@ -54,12 +55,16 @@ echo "==> bench smoke"
 # wall-time/F1 frontier gates are hard only on full `parser_frontier` runs.
 (cd build && ctest --output-on-failure -L bench-smoke)
 
-echo "==> repository benchmark (qbench self-test + long_docs run)"
+echo "==> repository benchmark (qbench self-test + long_docs/zipf_serve runs)"
 # qbench builds its own tree under .bench_build/. run.py exits non-zero when
 # any output check fails; on long_docs that includes 2-thread == serial
-# BuildKb, so the exit code gates determinism of the parallel build.
+# BuildKb, so the exit code gates determinism of the parallel build. The
+# zipf_serve run goes through both cache tiers and crosses an epoch bump
+# (EvictAll on both); its exit code gates "every answer equals the first
+# answer to the same (question, epoch)".
 python3 qbench/run.py --self-test
 python3 qbench/run.py --workload long_docs --seed 1 --seconds 1 --trace 0
+python3 qbench/run.py --workload zipf_serve --seed 1 --seconds 1 --trace 0
 
 echo "==> metrics exporter schema check"
 # qkbfly_serve validates its JSON export against the registry schema before

@@ -56,12 +56,10 @@ QaSystem::QaSystem(const SynthDataset* dataset, const DocumentStore* wiki,
   engine_ = std::make_unique<QkbflyEngine>(dataset->repository.get(),
                                            &dataset->patterns, &dataset->stats,
                                            config);
-}
-
-void QaSystem::EnableServiceCache(KbServiceOptions options) {
-  // Question-time fan-out mirrors the engine's configured thread count.
-  options.num_threads = engine_->config().num_threads;
-  service_ = std::make_unique<KbService>(engine_.get(), &search_, options);
+  KbServiceOptions service_options;
+  service_options.num_threads = config.num_threads;
+  service_ = std::make_unique<KbService>(engine_.get(), &search_,
+                                         service_options);
 }
 
 int QaSystem::FeatureId(const std::string& name, bool training) const {
@@ -307,12 +305,12 @@ std::vector<QaSystem::Candidate> QaSystem::Candidates(const QaQuestion& question
     case QaMode::kTriples:
       break;
   }
-  // Steps 1-2: retrieve and build the question-specific KB. With a service
-  // cache enabled, per-document results are reused across questions; either
-  // path produces a byte-identical KB (input-order canonicalization).
+  // Steps 1-2: retrieve and build the question-specific KB through the doc
+  // tier, so per-document results are reused across questions. The KB is
+  // byte-identical to an uncached engine build (input-order
+  // canonicalization).
   std::vector<const Document*> docs = Retrieve(question);
-  OnTheFlyKb kb =
-      service_ != nullptr ? service_->BuildKb(docs) : engine_->BuildKb(docs);
+  OnTheFlyKb kb = service_->BuildKb(docs);
   return KbCandidates(question, kb, training);
 }
 

@@ -42,7 +42,7 @@ class QaSystem {
     std::vector<std::string> args;
   };
 
-  /// `num_threads` is forwarded to the extraction engine: documents retrieved
+  /// `num_threads` is forwarded to the serving layer: documents retrieved
   /// for a question are processed in parallel (the answers are unchanged).
   /// `parser_mode` + `parser_complexity_threshold` select the engine's
   /// dependency-parser backend (the serving layer's quality/latency dial;
@@ -61,15 +61,10 @@ class QaSystem {
   /// Answers one question.
   std::vector<std::string> Answer(const QaQuestion& question) const;
 
-  /// Routes question-specific KB construction through a cache-backed
-  /// KbService, so repeated (or overlapping) questions about the same entity
-  /// reuse per-document extraction results. Without this call every question
-  /// recomputes from scratch — the original, cache-free construction path.
-  /// Answers are identical either way (the service build is byte-identical).
-  void EnableServiceCache(KbServiceOptions options = {});
-
-  /// The serving layer when EnableServiceCache was called, else nullptr.
-  const KbService* service() const { return service_.get(); }
+  /// The serving layer every question-specific KB is built through, so
+  /// repeated (or overlapping) questions about the same entity reuse
+  /// per-document extraction results.
+  const KbService& service() const { return *service_; }
 
   QaMode mode() const { return mode_; }
 
@@ -102,7 +97,7 @@ class QaSystem {
   QaMode mode_;
   SearchEngine search_;
   std::unique_ptr<QkbflyEngine> engine_;
-  std::unique_ptr<KbService> service_;  ///< Optional cache-backed build path.
+  std::unique_ptr<KbService> service_;  ///< The cache-backed build path.
   mutable StringInterner features_;
   LinearSvm classifier_;
 };

@@ -4,126 +4,62 @@
 // fingerprint) can be shared by every query that retrieves the same
 // document — the paper's demo keeps already-processed sentences around for
 // exactly this reason.
+//
+// The machinery is SingleFlightCache (store/single_flight_cache.h), shared
+// with the query tier; this file holds only the key and the tier's registry
+// instruments (`doc_cache_{hits,misses,evictions}_total`,
+// `doc_cache_resident_{bytes,entries}`).
+//
+// Invalidation rule: the fingerprint in the key must capture everything that
+// changes the computation (see EngineConfig::Fingerprint), and document ids
+// must be stable per content — a mutated document must get a new id. Keys
+// carry no corpus epoch, so EvictAll on an epoch bump is the
+// correctness-critical half of invalidation for this tier.
 #ifndef QKBFLY_SERVICE_DOCUMENT_RESULT_CACHE_H_
 #define QKBFLY_SERVICE_DOCUMENT_RESULT_CACHE_H_
 
-#include <atomic>
-#include <functional>
-#include <future>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "core/qkbfly.h"
-#include "obs/metrics.h"
-#include "util/cache_stats.h"
+#include "store/single_flight_cache.h"
 
 namespace qkbfly {
 
-/// A sharded, thread-safe, byte-budgeted LRU cache of DocumentResults with
-/// single-flight computation: when N threads ask for the same missing key
-/// concurrently, exactly one runs the compute function and the others block
-/// on its result. Entries are immutable once inserted (shared_ptr<const>),
-/// so readers never copy.
-///
-/// Eviction is LRU per shard under a per-shard slice of the byte budget
-/// (entry sizes come from DocumentResult::ApproxBytes). In-flight entries
-/// are never evicted. Invalidation rule: the config fingerprint in the key
-/// must capture everything that changes the computation (see
-/// EngineConfig::Fingerprint), and document ids must be stable per content —
-/// a mutated document must get a new id.
-class DocumentResultCache {
- public:
-  struct Options {
-    size_t byte_budget = size_t{64} << 20;  ///< Total across all shards.
-    int num_shards = 8;
-  };
+struct DocumentResultCacheTraits {
+  static constexpr size_t kDefaultByteBudget = size_t{64} << 20;
 
-  explicit DocumentResultCache(Options options);
-  DocumentResultCache() : DocumentResultCache(Options()) {}
-
-  /// Clears on destruction so the resident-bytes/entries gauges drop this
-  /// instance's contribution.
-  ~DocumentResultCache() { Clear(); }
-
-  using ComputeFn = std::function<DocumentResult()>;
-
-  /// Returns the cached result for (doc_id, fingerprint), computing and
-  /// inserting it on miss. `was_hit` (optional) reports whether this call
-  /// avoided running `compute` — true both for ready entries and for joining
-  /// another thread's in-flight computation. If `compute` throws, every
-  /// waiter rethrows and the entry is dropped.
-  std::shared_ptr<const DocumentResult> FetchOrCompute(
-      std::string_view doc_id, std::string_view fingerprint,
-      const ComputeFn& compute, bool* was_hit = nullptr);
-
-  /// Hit/miss/eviction counters. The live counters are the registry's
-  /// `doc_cache_*_total`; this view subtracts the construction-time baseline
-  /// so each cache instance reports only its own traffic.
-  CacheStats stats() const;
-
-  /// Total ApproxBytes of ready entries.
-  size_t ApproxBytesUsed() const;
-
-  /// Ready entries currently resident.
-  size_t entry_count() const;
-
-  size_t byte_budget() const { return options_.byte_budget; }
-
-  /// Drops all ready entries. In-flight computations are untouched: they
-  /// complete, fulfil their waiters and insert as usual.
-  void Clear();
-
-  /// Epoch-aware invalidation: Clear() when `epoch` advances past the last
-  /// epoch seen (idempotent per epoch). Unlike the query tier's keys, doc
-  /// cache keys carry no epoch — (doc id, fingerprint) entries from an old
-  /// corpus would otherwise be served forever — so this call is the
-  /// correctness-critical half of a corpus-epoch bump.
-  void EvictAll(CorpusEpoch epoch);
-
- private:
-  struct Entry {
-    std::shared_future<std::shared_ptr<const DocumentResult>> future;
-    bool ready = false;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru;  ///< Valid only when ready.
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
-    std::list<std::string> lru;  ///< Ready keys, most recently used first.
-    size_t bytes = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  void EvictOverBudgetLocked(Shard& shard);
-  CacheStats TotalsNow() const;
-
-  /// Recomputes ready-entry bytes/counts and compares them with the shard's
-  /// running counters (util/invariants.h). Requires shard.mutex held. Always
-  /// compiled; called from the hot path only under QKBFLY_CHECK_INVARIANTS.
-  static std::string CheckShardAccountingLocked(const Shard& shard);
-
-  Options options_;
-  size_t budget_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<CorpusEpoch> epoch_{0};  ///< Last epoch EvictAll acted on.
-
-  // Registry instruments (process-wide); counters are read lock-free, so the
-  // monotonicity invariant can run while a shard mutex is held. The gauges
-  // track resident bytes/entries across every cache instance.
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
-  obs::Gauge* resident_bytes_;
-  obs::Gauge* resident_entries_;
-  CacheStats baseline_;
+  static CacheInstruments Instruments() {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    return {registry.GetCounter("doc_cache_hits_total",
+                                "DocumentResultCache lookups served without "
+                                "computing (ready or joined in-flight)"),
+            registry.GetCounter("doc_cache_misses_total",
+                                "DocumentResultCache lookups that ran the "
+                                "compute function"),
+            registry.GetCounter("doc_cache_evictions_total",
+                                "DocumentResultCache evictions (LRU and "
+                                "epoch-bump EvictAll)"),
+            registry.GetGauge("doc_cache_resident_bytes",
+                              "Ready DocumentResult bytes resident"),
+            registry.GetGauge("doc_cache_resident_entries",
+                              "Ready DocumentResult entries resident")};
+  }
 };
+
+using DocumentResultCache =
+    SingleFlightCache<DocumentResult, DocumentResultCacheTraits>;
+
+/// The doc-tier key: document id and engine fingerprint, '\x1f'-joined.
+inline std::string DocumentCacheKey(std::string_view doc_id,
+                                    std::string_view fingerprint) {
+  std::string key;
+  key.reserve(doc_id.size() + 1 + fingerprint.size());
+  key.append(doc_id);
+  key.push_back('\x1f');
+  key.append(fingerprint);
+  return key;
+}
 
 }  // namespace qkbfly
 

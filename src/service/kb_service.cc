@@ -46,7 +46,7 @@ std::shared_ptr<const DocumentResult> KbService::FetchOrCompute(
   bool was_hit = false;
   obs::TraceContext compute_trace = span.context();
   auto result = cache_.FetchOrCompute(
-      doc.id, fingerprint_,
+      DocumentCacheKey(doc.id, fingerprint_),
       [this, &doc, compute_trace] {
         return engine_->ProcessDocument(doc, compute_trace);
       },
@@ -195,7 +195,7 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
     store_->qa_pairs().Record(std::move(pair));
     out.stats.query_cache.misses = 1;
   } else {
-    std::string key = QueryKbCache::Key(normalized, epoch, fingerprint_);
+    std::string key = QueryCacheKey(normalized, epoch, fingerprint_);
     // `built` flags that *this thread* ran the cold pipeline, in which case
     // out.kb already holds the directly-built KB (the byte-identity anchor).
     // Waiters, hits, and store-served answers rebuild from the cached bytes

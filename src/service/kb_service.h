@@ -7,6 +7,8 @@
 //   doc tier (DocumentResultCache) — per-document extraction results shared
 //     across queries; on a query-tier miss only retrieval and per-query
 //     canonicalization run per request.
+//   Both tiers are instantiations of SingleFlightCache
+//   (store/single_flight_cache.h).
 //   fact store (FactStore)     — canonicalized facts + QA pairs accumulated
 //     across queries, optionally persisted (Save/Load) and optionally
 //     serving repeated questions across process restarts.
@@ -24,8 +26,8 @@
 // Thread-safety contract: all public methods may be called concurrently from
 // any thread once the service is constructed; the engine and search index
 // are shared read-only, the caches, store and metrics are internally
-// synchronized. Lock order (qkbfly-lint C2): query-tier shard -> doc-tier
-// shard -> store shard -> metrics.
+// synchronized. Lock order (qkbfly-lint C2): cache shard -> store shard ->
+// metrics; the two tiers' shard mutexes are never held together.
 #ifndef QKBFLY_SERVICE_KB_SERVICE_H_
 #define QKBFLY_SERVICE_KB_SERVICE_H_
 

@@ -5,7 +5,7 @@
 // queries amortize instead of rebuilding from scratch — plus the QaPairIndex
 // materializing question->answer pairs alongside the triple store.
 //
-// Concurrency follows the DocumentResultCache idiom: mutex-per-shard, keys
+// Concurrency follows the SingleFlightCache idiom: mutex-per-shard, keys
 // hashed to shards, counters/gauges in the process-wide metrics registry
 // (`store_facts_total`, `store_resident_bytes`). Lock order (documented in
 // DESIGN.md, enforced by qkbfly-lint C2): store shard mutexes rank below the

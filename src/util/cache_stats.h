@@ -1,7 +1,7 @@
 // Common hit/miss/eviction counters shared by every cache in the system
-// (the EntityRepository::LooseCandidates memo, the serving layer's
-// DocumentResultCache, ...), so benches and the serving CLI can report them
-// uniformly.
+// (the EntityRepository::LooseCandidates memo and both serving tiers, which
+// are instantiations of SingleFlightCache), so benches and the serving CLI
+// can report them uniformly.
 #ifndef QKBFLY_UTIL_CACHE_STATS_H_
 #define QKBFLY_UTIL_CACHE_STATS_H_
 

@@ -28,7 +28,7 @@ namespace qkbfly {
 std::string CheckCacheStatsMonotonic(const CacheStats& before,
                                      const CacheStats& after);
 
-/// Per-shard bookkeeping of DocumentResultCache: the recorded byte total
+/// Per-shard bookkeeping of SingleFlightCache: the recorded byte total
 /// must equal the recomputed sum over ready entries, and the LRU list must
 /// hold exactly the ready entries.
 std::string CheckCacheShardAccounting(size_t recorded_bytes,

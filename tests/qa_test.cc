@@ -95,6 +95,9 @@ TEST(QaSystemTest, FullModeAnswersSomeQuestions) {
   }
   QaScore avg = MacroAverage(scores);
   EXPECT_GT(avg.f1, 0.3);
+  // Question KBs are built through the serving layer's doc tier, so
+  // documents retrieved for several questions are extracted once.
+  EXPECT_GT(system.service().cache().stats().hits, 0u);
 }
 
 TEST(QaSystemTest, FullBeatsStaticKb) {

@@ -1,12 +1,12 @@
-// Serving-layer tests: warm/cold KB identity, single-flight deduplication,
-// byte-budget eviction, and a concurrent-query stress run (labeled tsan and
-// asan; run the sanitizer trees via ctest -L tsan / -L asan).
+// Serving-layer tests: warm/cold KB identity, doc-tier key separation, and a
+// concurrent-query stress run (labeled tsan and asan; run the sanitizer trees
+// via ctest -L tsan / -L asan). The cache machinery itself is tested in
+// single_flight_cache_test.
 #include "service/kb_service.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -165,29 +165,6 @@ TEST_F(ServiceTest, ConcurrentQueriesAreSafeAndDeterministic) {
             queries.size() + kThreads * kRounds);
 }
 
-TEST(DocumentResultCacheTest, SingleFlightComputesOnce) {
-  DocumentResultCache cache;
-  std::atomic<int> computations{0};
-  constexpr int kThreads = 8;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      auto result = cache.FetchOrCompute("doc", "fp", [&] {
-        ++computations;
-        // Hold the in-flight window open so the other threads join it.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return FakeResult("doc");
-      });
-      EXPECT_EQ(result->annotated.id, "doc");
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(computations.load(), 1);
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads - 1));
-}
-
 TEST(DocumentResultCacheTest, DistinguishesConfigFingerprints) {
   DocumentResultCache cache;
   int computations = 0;
@@ -195,56 +172,10 @@ TEST(DocumentResultCacheTest, DistinguishesConfigFingerprints) {
     ++computations;
     return FakeResult("doc");
   };
-  (void)cache.FetchOrCompute("doc", "fp-a", compute);
-  (void)cache.FetchOrCompute("doc", "fp-b", compute);
-  (void)cache.FetchOrCompute("doc", "fp-a", compute);
+  (void)cache.FetchOrCompute(DocumentCacheKey("doc", "fp-a"), compute);
+  (void)cache.FetchOrCompute(DocumentCacheKey("doc", "fp-b"), compute);
+  (void)cache.FetchOrCompute(DocumentCacheKey("doc", "fp-a"), compute);
   EXPECT_EQ(computations, 2);
-}
-
-TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
-  // One shard so LRU order is global; a budget of ~3 fake entries.
-  DocumentResultCache::Options options;
-  options.num_shards = 1;
-  size_t entry_bytes = 0;
-  {
-    DocumentResultCache probe(options);
-    (void)probe.FetchOrCompute("probe", "fp",
-                               [] { return FakeResult("probe"); });
-    entry_bytes = probe.ApproxBytesUsed();
-    ASSERT_GT(entry_bytes, 0u);
-  }
-  options.byte_budget = 3 * entry_bytes + entry_bytes / 2;
-  DocumentResultCache cache(options);
-  for (int i = 0; i < 10; ++i) {
-    std::string id = "doc" + std::to_string(i);
-    (void)cache.FetchOrCompute(id, "fp", [&] { return FakeResult(id); });
-  }
-  CacheStats stats = cache.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(cache.ApproxBytesUsed(), cache.byte_budget());
-  EXPECT_LT(cache.entry_count(), 10u);
-
-  // The most recent key survived; the oldest was evicted and recomputes.
-  bool hit = false;
-  (void)cache.FetchOrCompute("doc9", "fp", [] { return FakeResult("doc9"); },
-                             &hit);
-  EXPECT_TRUE(hit);
-  (void)cache.FetchOrCompute("doc0", "fp", [] { return FakeResult("doc0"); },
-                             &hit);
-  EXPECT_FALSE(hit);
-}
-
-TEST(DocumentResultCacheTest, ClearDropsResidentEntries) {
-  DocumentResultCache cache;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeResult("doc"); });
-  ASSERT_EQ(cache.entry_count(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.ApproxBytesUsed(), 0u);
-  bool hit = true;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeResult("doc"); },
-                             &hit);
-  EXPECT_FALSE(hit);
 }
 
 TEST_F(ServiceTest, ApproxBytesGrowsWithContent) {

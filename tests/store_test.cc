@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -270,7 +269,7 @@ TEST(FactStoreTest, LoadRejectsSchemaViolations) {
 }
 
 // ---------------------------------------------------------------------------
-// QueryKbCache mechanics.
+// QueryKbCache key (the cache machinery is in single_flight_cache_test).
 // ---------------------------------------------------------------------------
 
 CachedAnswer FakeAnswer(const std::string& tag) {
@@ -281,29 +280,6 @@ CachedAnswer FakeAnswer(const std::string& tag) {
   return a;
 }
 
-TEST(QueryKbCacheTest, SingleFlightComputesOnce) {
-  QueryKbCache cache;
-  std::string key = QueryKbCache::Key("who married ann", 1, "fp");
-  std::atomic<int> computations{0};
-  constexpr int kThreads = 8;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      auto result = cache.FetchOrCompute(key, [&] {
-        ++computations;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return FakeAnswer("ann");
-      });
-      EXPECT_EQ(result->documents, 1u);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(computations.load(), 1);
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads - 1));
-}
-
 TEST(QueryKbCacheTest, KeySeparatesEpochAndFingerprint) {
   QueryKbCache cache;
   int computations = 0;
@@ -311,23 +287,11 @@ TEST(QueryKbCacheTest, KeySeparatesEpochAndFingerprint) {
     ++computations;
     return FakeAnswer("q");
   };
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 2, "fp"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp2"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryCacheKey("q", 1, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryCacheKey("q", 2, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryCacheKey("q", 1, "fp2"), compute);
+  (void)cache.FetchOrCompute(QueryCacheKey("q", 1, "fp"), compute);
   EXPECT_EQ(computations, 3);
-}
-
-TEST(QueryKbCacheTest, EvictAllIsIdempotentPerEpoch) {
-  QueryKbCache cache;
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"),
-                             [] { return FakeAnswer("q"); });
-  ASSERT_EQ(cache.entry_count(), 1u);
-  cache.EvictAll(1);  // construction epoch is 0, so 1 advances and clears
-  EXPECT_EQ(cache.entry_count(), 0u);
-  uint64_t evictions = cache.stats().evictions;
-  cache.EvictAll(1);  // no-op: already at epoch 1
-  EXPECT_EQ(cache.stats().evictions, evictions);
 }
 
 // ---------------------------------------------------------------------------

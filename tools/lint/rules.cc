@@ -491,8 +491,10 @@ void CheckC1(const Context& ctx) {
 /// Documented lock order (outer acquired before inner):
 ///   rank 1  ThreadPool queue mutex        (name contains "pool" or lives in
 ///                                          util/thread_pool)
-///   rank 2  QueryKbCache shard            (name contains "qshard" or "query")
-///   rank 3  DocumentResultCache shard     (name contains "shard")
+///   rank 2  query-path locks              (name contains "qshard" or "query";
+///                                          no src/ holder today)
+///   rank 3  SingleFlightCache shard       (name contains "shard"; both
+///                                          serving tiers, never nested)
 ///   rank 4  FactStore shard               (name contains "store")
 ///   rank 5  service metrics               (name contains "metrics")
 /// Acquiring a lower rank while holding a higher one inverts the order.
