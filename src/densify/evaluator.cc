@@ -11,8 +11,7 @@ namespace {
 
 // Side keys of the type-signature memo: entity ids, or literal node ids
 // tagged with the high bit; an (absurdly large) entity id that would collide
-// with the tag bypasses the cache instead. Same scheme as the legacy
-// EdgeWeights::RelationWeight.
+// with the tag bypasses the cache instead.
 constexpr uint64_t kLiteralBit = 0x80000000ull;
 constexpr uint64_t kUncacheable = ~0ull;
 
@@ -20,7 +19,39 @@ uint64_t CoherenceKey(EntityId e1, EntityId e2) {
   return (static_cast<uint64_t>(e1) << 32) | e2;
 }
 
+/// One relation-edge side: a view of the node's candidate universe.
+struct SideRef {
+  uint32_t off = 0;
+  uint32_t len = 0;
+  bool pronoun = false;
+};
+
+SideRef SideOf(const SemanticGraph& graph, const DensifyWorkspace& ws,
+               NodeId node) {
+  const GraphNode& n = graph.node(node);
+  const size_t i = static_cast<size_t>(node);
+  if (n.kind == NodeKind::kPronoun) {
+    return {ws.pro_univ_off[i], ws.pro_univ_off[i + 1] - ws.pro_univ_off[i],
+            true};
+  }
+  if (n.kind == NodeKind::kNounPhrase && !n.is_literal) {
+    return {ws.np_univ_off[i], ws.np_univ_off[i + 1] - ws.np_univ_off[i],
+            false};
+  }
+  return {};
+}
+
+EntityId EntityAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
+  return s.pronoun ? ws.pro_univ[s.off + i].entity
+                   : ws.np_univ[s.off + i].entity;
+}
+
 }  // namespace
+
+DensifyWorkspace& ThreadDensifyWorkspace() {
+  static thread_local DensifyWorkspace workspace;
+  return workspace;
+}
 
 DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
                                    const AnnotatedDocument& doc,
@@ -37,7 +68,6 @@ DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
   // Hand-built test graphs arrive unfinalized; every adjacency query below
   // runs off the CSR index.
   graph_->Finalize();
-  ws_->weights.Reset(graph, &doc, stats, repository, params);
   BuildEdgeLists();
   BuildNodeData(doc);
   BuildUniverses();
@@ -84,8 +114,8 @@ void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
   for (size_t i = 0; i < n; ++i) {
     const GraphNode& node = graph_->node(static_cast<NodeId>(i));
     if (node.kind == NodeKind::kEntity) {
-      // The entity's types with ancestors, flattened in the same order as
-      // the legacy per-entity TypesOf memo (no dedup).
+      // The entity's types, each followed by its ancestors, in repository
+      // order (no dedup): the type list of the ts term.
       uint32_t off = static_cast<uint32_t>(ws.type_pool.size());
       for (TypeId t : repository_->Get(node.entity).types) {
         ts.AncestorsInto(t, &ws.type_pool);
@@ -102,9 +132,10 @@ void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
         node.sentence < static_cast<int>(sentences)) {
       ws.has_context[i] = 1;
     }
-    // Literal / coarse-NER type of the node (at most one), the legacy
-    // LiteralTypes. The Find keys are short coarse-type names, so the
-    // temporary map key stays in SSO storage.
+    // Literal / coarse-NER type of the node (at most one): TIME, NUMBER, or
+    // the coarse NER type, which lets type signatures constrain relations
+    // with emerging arguments. The Find keys are short coarse-type names, so
+    // the temporary map key stays in SSO storage.
     if (node.ner == NerType::kTime) {
       ws.literal_type[i] = ts.time();
       ws.has_literal_type[i] = 1;
@@ -126,7 +157,7 @@ void DensifyEvaluator::BuildUniverses() {
 
   // NP universes: stable counting sort of the means edges by their mention,
   // so each noun phrase's universe is its means edges in ascending EdgeId
-  // order — the exact EntOfNp / ActiveMeans enumeration order.
+  // order — the ActiveMeans enumeration order.
   ws.np_univ_off.assign(n + 1, 0);
   for (EdgeId m : ws.means_edges) {
     ++ws.np_univ_off[static_cast<size_t>(graph_->edge(m).a) + 1];
@@ -141,9 +172,8 @@ void DensifyEvaluator::BuildUniverses() {
   }
 
   // Pronoun universes: distinct gender-compatible entities over all
-  // NP-linked sameAs neighbors, ascending by entity (the EntOfPronoun
-  // sort+unique order), each entity backed by its (sameAs, means) support
-  // pairs.
+  // NP-linked sameAs neighbors, ascending by entity, each entity backed by
+  // its (sameAs, means) support pairs.
   ws.pro_univ_off.assign(n + 1, 0);
   ws.pro_univ.clear();
   ws.pro_pairs.clear();
@@ -220,26 +250,15 @@ double DensifyEvaluator::TsPairValue(
   return value;
 }
 
-namespace {
-
-/// One relation-edge side: a view of the node's candidate universe.
-struct SideRef {
-  uint32_t off = 0;
-  uint32_t len = 0;
-  bool pronoun = false;
-};
-
-}  // namespace
-
 void DensifyEvaluator::BuildLanes() {
   DensifyWorkspace& ws = *ws_;
   const AnnotatedDocument& doc = *doc_;
   const size_t edges = graph_->edge_count();
 
   // Means lane: w(n_i, e_ij) = a1 * prior + a2 * sim, dampened 0.3x for
-  // loose (partial-name) candidates — the exact MeansWeight formula, one
-  // value per means edge. Mention contexts are shared per sentence (they
-  // are a pure function of the sentence tokens).
+  // loose (partial-name) candidates, one value per means edge. Mention
+  // contexts are shared per sentence (they are a pure function of the
+  // sentence tokens).
   ws.mw_lane.assign(edges, 0.0);
   for (EdgeId m : ws.means_edges) {
     const GraphEdge& edge = graph_->edge(m);
@@ -259,17 +278,14 @@ void DensifyEvaluator::BuildLanes() {
                             stats_->EntityContext(entity));
     }
     double weight = params_.alpha1 * prior + params_.alpha2 * sim;
-    const std::vector<EntityId>* exact = ws.exact[static_cast<size_t>(np)];
-    const bool is_exact =
-        exact != nullptr &&
-        std::find(exact->begin(), exact->end(), entity) != exact->end();
-    ws.mw_lane[static_cast<size_t>(m)] = is_exact ? weight : 0.3 * weight;
+    ws.mw_lane[static_cast<size_t>(m)] =
+        IsExactAlias(np, entity) ? weight : 0.3 * weight;
   }
 
   // Relation lanes: per edge, dense per-pair term matrices with the
-  // looseness factors folded in, so the greedy loop's re-evaluations are
-  // pure gathers. Each entry replicates the legacy term expression
-  // (factor_a * factor_b * memoized pure value) for bit-identical sums.
+  // looseness factors folded in, so every later evaluation is a pure
+  // gather. Each entry is factor_a * factor_b * (memoized pure value),
+  // evaluated left to right.
   ws.rel_lanes.clear();
   ws.lane_of_edge.assign(edges, -1);
   ws.coh_pool.clear();
@@ -277,23 +293,6 @@ void DensifyEvaluator::BuildLanes() {
   ws.patterns.clear();
   ws.coherence_cache.Reset(2 * edges + 16);
 
-  auto side_of = [&](NodeId node) -> SideRef {
-    const GraphNode& n = graph_->node(node);
-    const size_t i = static_cast<size_t>(node);
-    if (n.kind == NodeKind::kPronoun) {
-      return {ws.pro_univ_off[i], ws.pro_univ_off[i + 1] - ws.pro_univ_off[i],
-              true};
-    }
-    if (n.kind == NodeKind::kNounPhrase && !n.is_literal) {
-      return {ws.np_univ_off[i], ws.np_univ_off[i + 1] - ws.np_univ_off[i],
-              false};
-    }
-    return {};
-  };
-  auto entity_of = [&](const SideRef& s, uint32_t i) -> EntityId {
-    return s.pronoun ? ws.pro_univ[s.off + i].entity
-                     : ws.np_univ[s.off + i].entity;
-  };
   auto entity_node_of = [&](const SideRef& s, uint32_t i) -> NodeId {
     return s.pronoun ? ws.pro_univ[s.off + i].entity_node
                      : ws.np_univ[s.off + i].entity_node;
@@ -305,33 +304,23 @@ void DensifyEvaluator::BuildLanes() {
     lane.edge = r;
     lane.a = e.a;
     lane.b = e.b;
-    const SideRef sa = side_of(e.a);
-    const SideRef sb = side_of(e.b);
+    const SideRef sa = SideOf(*graph_, ws, e.a);
+    const SideRef sb = SideOf(*graph_, ws, e.b);
     lane.ua_len = sa.len;
     lane.ub_len = sb.len;
     lane.lit_a = ws.has_literal_type[static_cast<size_t>(e.a)] != 0;
     lane.lit_b = ws.has_literal_type[static_cast<size_t>(e.b)] != 0;
 
-    // Looseness factors: 1.0 for exact alias candidates, 0.3 for loose ones.
-    const std::vector<EntityId>* exact_a = ws.exact[static_cast<size_t>(e.a)];
-    const std::vector<EntityId>* exact_b = ws.exact[static_cast<size_t>(e.b)];
+    // Looseness factors: loose (partial-name) candidates vote with the same
+    // 0.3 discount as in the means weight, so they cannot out-shout exact
+    // alias matches.
     ws.factor_a.resize(sa.len);
     for (uint32_t i = 0; i < sa.len; ++i) {
-      EntityId ent = entity_of(sa, i);
-      ws.factor_a[i] =
-          (exact_a != nullptr &&
-           std::find(exact_a->begin(), exact_a->end(), ent) != exact_a->end())
-              ? 1.0
-              : 0.3;
+      ws.factor_a[i] = IsExactAlias(e.a, EntityAt(ws, sa, i)) ? 1.0 : 0.3;
     }
     ws.factor_b.resize(sb.len);
     for (uint32_t j = 0; j < sb.len; ++j) {
-      EntityId ent = entity_of(sb, j);
-      ws.factor_b[j] =
-          (exact_b != nullptr &&
-           std::find(exact_b->begin(), exact_b->end(), ent) != exact_b->end())
-              ? 1.0
-              : 0.3;
+      ws.factor_b[j] = IsExactAlias(e.b, EntityAt(ws, sb, j)) ? 1.0 : 0.3;
     }
 
     const uint32_t pid = PatternIdOf(e.label);
@@ -340,9 +329,9 @@ void DensifyEvaluator::BuildLanes() {
     // Coherence matrix: |Ua| x |Ub|.
     lane.coh_off = static_cast<uint32_t>(ws.coh_pool.size());
     for (uint32_t i = 0; i < sa.len; ++i) {
-      const EntityId ea = entity_of(sa, i);
+      const EntityId ea = EntityAt(ws, sa, i);
       for (uint32_t j = 0; j < sb.len; ++j) {
-        const EntityId eb = entity_of(sb, j);
+        const EntityId eb = EntityAt(ws, sb, j);
         const uint64_t key = CoherenceKey(ea, eb);
         double coh;
         if (const double* hit = ws.coherence_cache.Lookup(key)) {
@@ -375,7 +364,7 @@ void DensifyEvaluator::BuildLanes() {
                             1);
         }
       } else {
-        const EntityId ea = entity_of(sa, i);
+        const EntityId ea = EntityAt(ws, sa, i);
         ka = ea < kLiteralBit ? ea : kUncacheable;
         const DensifyWorkspace::TypeRef tr =
             ws.types_of_node[static_cast<size_t>(entity_node_of(sa, i))];
@@ -396,7 +385,7 @@ void DensifyEvaluator::BuildLanes() {
           tb = Span<TypeId>(ws.literal_type.data() + static_cast<size_t>(e.b),
                             1);
         } else {
-          const EntityId eb = entity_of(sb, j);
+          const EntityId eb = EntityAt(ws, sb, j);
           kb = eb < kLiteralBit ? eb : kUncacheable;
           const DensifyWorkspace::TypeRef tr =
               ws.types_of_node[static_cast<size_t>(entity_node_of(sb, j))];
@@ -414,40 +403,10 @@ void DensifyEvaluator::BuildLanes() {
   }
 }
 
-std::vector<EntityId> DensifyEvaluator::EntOfNp(NodeId np) const {
-  std::vector<EntityId> out;
-  // Same traversal order as ActiveMeans, without materializing the edge
-  // pairs. Kept graph-walking for the ILP translation and tests; the flat
-  // paths use the universe arrays instead.
-  for (EdgeId e : graph_->IncidentEdges(np)) {
-    const GraphEdge& edge = graph_->edge(e);
-    if (!edge.active || edge.kind != EdgeKind::kMeans || edge.a != np) continue;
-    out.push_back(graph_->node(edge.b).entity);
-  }
-  return out;
-}
-
-std::vector<EntityId> DensifyEvaluator::EntOfPronoun(NodeId p) const {
-  const GraphNode& pro = graph_->node(p);
-  std::vector<EntityId> out;
-  for (const auto& [edge, np] : graph_->ActiveSameAs(p)) {
-    if (graph_->node(np).kind != NodeKind::kNounPhrase) continue;
-    for (EntityId e : EntOfNp(np)) {
-      if (GenderConflict(pro, e)) continue;  // constraint (4)
-      out.push_back(e);
-    }
-  }
-  // Ascending unique, exactly as the former std::set produced.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<EntityId> DensifyEvaluator::EntOf(NodeId node) const {
-  const GraphNode& n = graph_->node(node);
-  if (n.kind == NodeKind::kPronoun) return EntOfPronoun(node);
-  if (n.kind == NodeKind::kNounPhrase && !n.is_literal) return EntOfNp(node);
-  return {};
+bool DensifyEvaluator::IsExactAlias(NodeId mention, EntityId entity) const {
+  const std::vector<EntityId>* exact = ws_->exact[static_cast<size_t>(mention)];
+  return exact != nullptr &&
+         std::find(exact->begin(), exact->end(), entity) != exact->end();
 }
 
 bool DensifyEvaluator::GenderConflict(const GraphNode& pronoun, EntityId e) const {
@@ -457,9 +416,8 @@ bool DensifyEvaluator::GenderConflict(const GraphNode& pronoun, EntityId e) cons
   return g != pronoun.gender;
 }
 
-void DensifyEvaluator::CollectActiveSide(NodeId n,
-                                         std::vector<uint32_t>* out) const {
-  out->clear();
+template <typename Fn>
+void DensifyEvaluator::ForEachActiveCandidate(NodeId n, Fn&& fn) const {
   const DensifyWorkspace& ws = *ws_;
   const GraphNode& node = graph_->node(n);
   const size_t id = static_cast<size_t>(n);
@@ -472,7 +430,7 @@ void DensifyEvaluator::CollectActiveSide(NodeId n,
         const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
         if (graph_->edge(pair.same_as).active &&
             graph_->edge(pair.means).active) {
-          out->push_back(i - begin);
+          fn(i - begin, c.entity);
           break;
         }
       }
@@ -481,9 +439,32 @@ void DensifyEvaluator::CollectActiveSide(NodeId n,
     const uint32_t begin = ws.np_univ_off[id];
     const uint32_t end = ws.np_univ_off[id + 1];
     for (uint32_t i = begin; i < end; ++i) {
-      if (graph_->edge(ws.np_univ[i].edge).active) out->push_back(i - begin);
+      const DensifyWorkspace::MeansCandidate& c = ws.np_univ[i];
+      if (graph_->edge(c.edge).active) fn(i - begin, c.entity);
     }
   }
+}
+
+void DensifyEvaluator::ActiveCandidatesInto(NodeId n,
+                                            std::vector<EntityId>* out) const {
+  out->clear();
+  ForEachActiveCandidate(n, [out](uint32_t, EntityId e) { out->push_back(e); });
+}
+
+void DensifyEvaluator::CollectActiveSide(NodeId n,
+                                         std::vector<uint32_t>* out) const {
+  out->clear();
+  ForEachActiveCandidate(n, [out](uint32_t i, EntityId) { out->push_back(i); });
+}
+
+uint32_t DensifyEvaluator::UniverseIndex(NodeId n, EntityId entity) const {
+  const SideRef side = SideOf(*graph_, *ws_, n);
+  if (entity == kInvalidEntity) return side.len;
+  for (uint32_t i = 0; i < side.len; ++i) {
+    if (EntityAt(*ws_, side, i) == entity) return i;
+  }
+  QKB_CHECK(false) << "entity " << entity << " not a candidate of node " << n;
+  return side.len;
 }
 
 double DensifyEvaluator::LaneWeight(
@@ -527,6 +508,27 @@ double DensifyEvaluator::LaneWeight(
     }
   }
 
+  return params_.alpha3 * coherence + params_.alpha4 * ts_score;
+}
+
+double DensifyEvaluator::PairWeight(EdgeId r, EntityId ea, EntityId eb) const {
+  const int32_t li = ws_->lane_of_edge[static_cast<size_t>(r)];
+  QKB_CHECK(li >= 0);
+  const DensifyWorkspace::RelationLane& lane =
+      ws_->rel_lanes[static_cast<size_t>(li)];
+  const uint32_t i = UniverseIndex(lane.a, ea);
+  const uint32_t j = UniverseIndex(lane.b, eb);
+  // The one-by-one case of LaneWeight: the same entries, summed from 0.0.
+  double coherence = 0.0;
+  if (i < lane.ua_len && j < lane.ub_len) {
+    coherence += ws_->coh_pool[lane.coh_off +
+                               static_cast<size_t>(i) * lane.ub_len + j];
+  }
+  double ts_score = 0.0;
+  if ((i < lane.ua_len || lane.lit_a) && (j < lane.ub_len || lane.lit_b)) {
+    ts_score += ws_->ts_pool[lane.ts_off +
+                             static_cast<size_t>(i) * (lane.ub_len + 1) + j];
+  }
   return params_.alpha3 * coherence + params_.alpha4 * ts_score;
 }
 
@@ -606,15 +608,6 @@ void DensifyEvaluator::Preprocess() {
   ApplyGenderConstraint();
 }
 
-void DensifyEvaluator::ActiveEntitiesOfNp(NodeId np,
-                                          std::vector<EntityId>* out) const {
-  const size_t id = static_cast<size_t>(np);
-  for (uint32_t i = ws_->np_univ_off[id]; i < ws_->np_univ_off[id + 1]; ++i) {
-    const DensifyWorkspace::MeansCandidate& c = ws_->np_univ[i];
-    if (graph_->edge(c.edge).active) out->push_back(c.entity);
-  }
-}
-
 void DensifyEvaluator::IntersectSameAsClusters() {
   DensifyWorkspace& ws = *ws_;
   auto nps = graph_->NodesOfKind(NodeKind::kNounPhrase);
@@ -642,13 +635,11 @@ void DensifyEvaluator::IntersectSameAsClusters() {
       }
     }
     if (ws.component.size() < 2) continue;
-    // Sorted-unique flat vectors stand in for the legacy std::sets; the
-    // set_intersection chain over them computes the identical result.
+    // Intersect the members' candidate sets as sorted-unique flat vectors.
     ws.intersection.clear();
     bool first = true;
     for (NodeId n : ws.component) {
-      ws.ents.clear();
-      ActiveEntitiesOfNp(n, &ws.ents);
+      ActiveCandidatesInto(n, &ws.ents);
       if (ws.ents.empty()) continue;  // out-of-KB member does not constrain
       std::sort(ws.ents.begin(), ws.ents.end());
       ws.ents.erase(std::unique(ws.ents.begin(), ws.ents.end()),
@@ -689,8 +680,7 @@ void DensifyEvaluator::ApplyGenderConstraint() {
       if (!s.active || s.kind != EdgeKind::kSameAs) continue;
       const NodeId np = s.a == p ? s.b : s.a;
       if (graph_->node(np).kind != NodeKind::kNounPhrase) continue;
-      ws.ents.clear();
-      ActiveEntitiesOfNp(np, &ws.ents);
+      ActiveCandidatesInto(np, &ws.ents);
       if (ws.ents.empty()) continue;  // out-of-KB antecedent: keep
       bool any_compatible = false;
       for (EntityId c : ws.ents) {
@@ -757,8 +747,7 @@ void DensifyEvaluator::ComputeConfidencesInto(
   DensifyWorkspace& ws = *ws_;
   const size_t n = graph_->node_count();
   // Ascending node order over every mention with originally-active means
-  // edges: the same set the legacy hash-map grouping produced, already in
-  // the final (mention-sorted) output order.
+  // edges, which is already the final (mention-sorted) output order.
   for (size_t np = 0; np < n; ++np) {
     const uint32_t begin = ws.np_univ_off[np];
     const uint32_t end = ws.np_univ_off[np + 1];
@@ -802,10 +791,7 @@ void DensifyEvaluator::ComputeConfidencesInto(
     a.mention = static_cast<NodeId>(np);
     a.entity = chosen_entity;
     a.weight = ws.mw_lane[static_cast<size_t>(chosen)];
-    const std::vector<EntityId>* exact = ws.exact[np];
-    a.exact_alias =
-        exact != nullptr &&
-        std::find(exact->begin(), exact->end(), chosen_entity) != exact->end();
+    a.exact_alias = IsExactAlias(a.mention, chosen_entity);
     if (chosen_c > 1e-12) {
       a.confidence = denom > 0.0 ? chosen_c / denom : 1.0;
     } else {

@@ -1,14 +1,17 @@
-// Subgraph evaluation machinery shared by the greedy densifier (Algorithm 1),
-// the ILP densifier (Appendix A) and confidence scoring: candidate-set
-// queries (the ent()/np() notation of Section 4), the objective W(S), and
-// edge contributions c(x, y, S).
+// The Section 4 weight model and the subgraph evaluation machinery shared by
+// all three densifiers — greedy (Algorithm 1), ILP (Appendix A) and the
+// pipeline baseline — plus confidence scoring: candidate-set queries (the
+// ent() notation of Section 4), edge weights, the objective W(S), and edge
+// contributions c(x, y, S).
 //
 // The evaluator runs off flat per-edge weight lanes in a DensifyWorkspace:
 // construction builds candidate universes and dense coherence/type-signature
-// matrices once, and every later Contribution/Objective call is a
-// gather-and-sum over contiguous arrays with no hashing. The lane entries
-// replicate the legacy hash-map computation expression for expression, so
-// both produce bit-identical doubles.
+// matrices once, and every later weight, Contribution or Objective call is a
+// gather-and-sum over contiguous arrays with no hashing. The lanes are the
+// only weight model: every densifier reads its weights from them. Each lane
+// entry is computed once, and every sum over lane entries starts from 0.0
+// and runs in universe order, so the same subgraph state always yields the
+// same doubles.
 #ifndef QKBFLY_DENSIFY_EVALUATOR_H_
 #define QKBFLY_DENSIFY_EVALUATOR_H_
 
@@ -18,11 +21,27 @@
 #include <utility>
 #include <vector>
 
-#include "densify/edge_weights.h"
+#include "corpus/background_stats.h"
 #include "densify/workspace.h"
 #include "graph/semantic_graph.h"
+#include "kb/entity_repository.h"
 
 namespace qkbfly {
+
+/// The alpha_1..alpha_4 hyper-parameters (Section 4), learned by L-BFGS in
+/// ParameterTuner; the defaults are sensible starting values.
+struct DensifyParams {
+  double alpha1 = 0.45;  ///< mention-entity prior
+  double alpha2 = 0.25;  ///< mention-context / entity-context similarity
+  double alpha3 = 0.15;  ///< entity-entity coherence on relation edges
+  double alpha4 = 0.35;  ///< type-signature score on relation edges
+};
+
+/// The calling thread's retained DensifyWorkspace, shared by the greedy,
+/// pipeline and ILP densifiers so a warm thread densifies a stream of
+/// documents without reallocating. At most one evaluator may use it at a
+/// time; thread_local keeps the batch pipeline's workers from sharing it.
+DensifyWorkspace& ThreadDensifyWorkspace();
 
 /// The result of densification over one document graph (produced by the
 /// greedy, pipeline and ILP variants alike).
@@ -79,9 +98,9 @@ struct DensifyResult {
 /// Evaluates the current subgraph state (the graph's active-edge flags).
 /// Mutating calls toggle edges through the graph pointer.
 ///
-/// Pass a retained DensifyWorkspace to make construction and evaluation
-/// allocation-free once the workspace is warm; without one the evaluator
-/// owns a private workspace (the ILP / test path).
+/// Pass a retained DensifyWorkspace (normally ThreadDensifyWorkspace()) to
+/// make construction and evaluation allocation-free once the workspace is
+/// warm; without one the evaluator owns a private workspace (the test path).
 class DensifyEvaluator {
  public:
   DensifyEvaluator(SemanticGraph* graph, const AnnotatedDocument& doc,
@@ -91,20 +110,36 @@ class DensifyEvaluator {
                    DensifyWorkspace* workspace = nullptr);
 
   SemanticGraph& graph() { return *graph_; }
-  const EdgeWeights& weights() const { return ws_->weights; }
   DensifyWorkspace& workspace() { return *ws_; }
 
-  /// ent(n_i, S): candidate entities of a noun-phrase node.
-  std::vector<EntityId> EntOfNp(NodeId np) const;
-
-  /// ent(p_i, S): gender-filtered union over the pronoun's sameAs links.
-  std::vector<EntityId> EntOfPronoun(NodeId p) const;
-
-  /// Dispatches on node kind; literals return an empty set.
-  std::vector<EntityId> EntOf(NodeId node) const;
+  /// ent(n, S): the active candidate entities of a mention, read off its
+  /// candidate universe in universe order. For a noun phrase: the entities
+  /// of its active means edges, ascending by edge, duplicates preserved. For
+  /// a pronoun: the distinct gender-compatible entities of its sameAs-linked
+  /// noun phrases, ascending, each present iff one (sameAs, means) support
+  /// pair is fully active. Literals and entity nodes have none.
+  void ActiveCandidatesInto(NodeId n, std::vector<EntityId>* out) const;
 
   /// Constraint (4): entity gender known and conflicting with the pronoun.
   bool GenderConflict(const GraphNode& pronoun, EntityId e) const;
+
+  /// Weight of one means edge (n_i, e_ij): a1 * prior + a2 *
+  /// sim(cxt(n_i), cxt(e_ij)), dampened by 0.3 for a loose (non-alias)
+  /// candidate.
+  double MeansWeight(EdgeId e) const {
+    return ws_->mw_lane[static_cast<size_t>(e)];
+  }
+
+  /// Whether the mention's surface is an exact repository alias of `entity`
+  /// (as opposed to a loose partial-name candidate).
+  bool IsExactAlias(NodeId mention, EntityId entity) const;
+
+  /// Weight of relation edge `r` when its endpoints are restricted to the
+  /// single candidates `ea` and `eb`: a3 * coh + a4 * ts over that one pair.
+  /// kInvalidEntity stands for an empty candidate set on that side, whose
+  /// literal type (if any) then feeds the ts term. Both entities must be in
+  /// their side's candidate universe.
+  double PairWeight(EdgeId r, EntityId ea, EntityId eb) const;
 
   /// Current weight of one relation edge under the active candidate sets.
   double RelationEdgeWeight(EdgeId e) const;
@@ -161,24 +196,29 @@ class DensifyEvaluator {
                      Span<TypeId> types_a, Span<TypeId> types_b) const;
   uint32_t PatternIdOf(const std::string& pattern);
 
-  /// Active universe indices of one relation-edge side, in universe order
-  /// (== ascending entity order for pronouns, means-edge order for NPs).
+  /// Calls fn(universe index, entity) for each active candidate of a
+  /// mention, in universe order — the one definition of ent(n, S).
+  template <typename Fn>
+  void ForEachActiveCandidate(NodeId n, Fn&& fn) const;
+
+  /// Active universe indices of one relation-edge side, in universe order.
   void CollectActiveSide(NodeId n, std::vector<uint32_t>* out) const;
 
-  /// Sum of one lane under the current active flags; bit-identical to the
-  /// legacy EdgeWeights::RelationWeight of the same state.
+  /// Universe index of `entity` on one relation-edge side; kInvalidEntity
+  /// maps to the universe size, the index of the literal row/column.
+  uint32_t UniverseIndex(NodeId n, EntityId entity) const;
+
+  /// Sum of one lane under the current active flags: coherence and ts terms
+  /// each summed from 0.0 over the active rows and columns in universe order.
   double LaneWeight(const DensifyWorkspace::RelationLane& lane) const;
 
   /// Active relation edges whose weight can change when `e` toggles, sorted
   /// ascending, duplicates preserved (an edge incident to two sources is
-  /// summed twice, exactly as the legacy per-source concatenation did).
+  /// summed twice; the fixed order fixes the floating-point sum).
   void AffectedRelationEdgesInto(EdgeId e, std::vector<EdgeId>* out) const;
 
   void IntersectSameAsClusters();
   void ApplyGenderConstraint();
-
-  /// Active entities of an NP in means-edge order, duplicates preserved.
-  void ActiveEntitiesOfNp(NodeId np, std::vector<EntityId>* out) const;
 
   SemanticGraph* graph_;
   const AnnotatedDocument* doc_;

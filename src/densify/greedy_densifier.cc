@@ -69,14 +69,12 @@ DensifyResult GreedyDensifier::Densify(SemanticGraph* graph,
 
 void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc,
                               DensifyResult* result) const {
-  // One retained workspace per thread: universes, weight lanes and loop
-  // buffers all live there, so a warm thread densifies a stream of documents
-  // without heap allocations. thread_local keeps the batch pipeline's
-  // worker threads from sharing state.
-  static thread_local DensifyWorkspace workspace;
-
+  // Universes, weight lanes and loop buffers all live in the thread's
+  // retained workspace, so a warm thread densifies a stream of documents
+  // without heap allocations.
   result->Clear();
-  DensifyEvaluator eval(graph, doc, stats_, repository_, params_, &workspace);
+  DensifyEvaluator eval(graph, doc, stats_, repository_, params_,
+                        &ThreadDensifyWorkspace());
 
   eval.SnapshotOriginalMeans();
   eval.Preprocess();

@@ -40,7 +40,8 @@ std::vector<Component> FindComponents(const SemanticGraph& graph) {
 
 DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
                                     const AnnotatedDocument& doc) const {
-  DensifyEvaluator eval(graph, doc, stats_, repository_, params_);
+  DensifyEvaluator eval(graph, doc, stats_, repository_, params_,
+                        &ThreadDensifyWorkspace());
   DensifyResult result;
   eval.SnapshotOriginalMeans();
   eval.Preprocess();
@@ -49,31 +50,27 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
     IlpModel model;
     // cnd variables per mention and candidate.
     std::map<std::pair<NodeId, EntityId>, int> cnd;
-    std::map<std::pair<NodeId, EntityId>, EdgeId> means_edge_of;
     std::unordered_set<NodeId> in_comp(comp.mentions.begin(), comp.mentions.end());
+    std::vector<EntityId> candidates;
 
     for (NodeId m : comp.mentions) {
       const GraphNode& node = graph->node(m);
-      std::vector<EntityId> candidates;
+      std::vector<std::pair<int, double>> group;
       if (node.kind == NodeKind::kNounPhrase) {
         for (const auto& [e, entity_node] : graph->ActiveMeans(m)) {
-          EntityId entity = graph->node(entity_node).entity;
-          candidates.push_back(entity);
-          means_edge_of[{m, entity}] = e;
+          int var = model.AddVariable(eval.MeansWeight(e));
+          cnd[{m, graph->node(entity_node).entity}] = var;
+          group.emplace_back(var, 1.0);
         }
       } else {
-        candidates = eval.EntOfPronoun(m);
+        eval.ActiveCandidatesInto(m, &candidates);
+        for (EntityId e : candidates) {
+          int var = model.AddVariable(0.0);
+          cnd[{m, e}] = var;
+          group.emplace_back(var, 1.0);
+        }
       }
-      if (candidates.empty()) continue;
-      std::vector<std::pair<int, double>> group;
-      for (EntityId e : candidates) {
-        double w = node.kind == NodeKind::kNounPhrase
-                       ? eval.weights().MeansWeight(m, e)
-                       : 0.0;
-        int var = model.AddVariable(w);
-        cnd[{m, e}] = var;
-        group.emplace_back(var, 1.0);
-      }
+      if (group.empty()) continue;
       // Exactly one candidate per noun phrase (Appendix A, constraint (1)).
       // Pronouns may stay unresolved (at most one): their candidates depend
       // on the noun phrases' choices, which the sameAs equalities can
@@ -87,15 +84,16 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
     // differ (empty cluster intersection) are left uncoupled — linking them
     // rigidly can make the program infeasible, and the greedy algorithm
     // relaxes constraint (3) the same way.
+    std::vector<EntityId> my_cands, other_cands;
     for (NodeId m : comp.mentions) {
       const GraphNode& node = graph->node(m);
       if (node.kind != NodeKind::kNounPhrase) continue;
-      auto my_cands = eval.EntOfNp(m);
+      eval.ActiveCandidatesInto(m, &my_cands);
       std::sort(my_cands.begin(), my_cands.end());
       for (const auto& [e, other] : graph->ActiveSameAs(m)) {
         if (other <= m) continue;  // each pair once
         if (graph->node(other).kind != NodeKind::kNounPhrase) continue;
-        auto other_cands = eval.EntOfNp(other);
+        eval.ActiveCandidatesInto(other, &other_cands);
         std::sort(other_cands.begin(), other_cands.end());
         if (my_cands != other_cands) continue;
         for (const auto& [key, var] : cnd) {
@@ -145,8 +143,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
       if (!ca.empty() && !cb.empty()) {
         for (EntityId ea : ca) {
           for (EntityId eb : cb) {
-            double w = eval.weights().RelationWeight(edge.a, edge.b, edge.label,
-                                                     {ea}, {eb});
+            double w = eval.PairWeight(re, ea, eb);
             if (w <= 0.0) continue;
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.a, ea}], -1.0}}, -kInf, 0.0);
@@ -157,8 +154,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
         // The other endpoint is a literal or out-of-KB: its (fixed) types
         // still reward candidate choices on this side.
         for (EntityId ea : ca) {
-          double w =
-              eval.weights().RelationWeight(edge.a, edge.b, edge.label, {ea}, {});
+          double w = eval.PairWeight(re, ea, kInvalidEntity);
           if (w > 0.0) {
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.a, ea}], -1.0}}, -kInf, 0.0);
@@ -166,8 +162,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
         }
       } else if (!cb.empty()) {
         for (EntityId eb : cb) {
-          double w =
-              eval.weights().RelationWeight(edge.a, edge.b, edge.label, {}, {eb});
+          double w = eval.PairWeight(re, kInvalidEntity, eb);
           if (w > 0.0) {
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.b, eb}], -1.0}}, -kInf, 0.0);

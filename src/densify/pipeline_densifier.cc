@@ -8,7 +8,8 @@ namespace qkbfly {
 
 DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
                                          const AnnotatedDocument& doc) const {
-  EdgeWeights weights(graph, &doc, stats_, repository_, params_);
+  const DensifyEvaluator eval(graph, doc, stats_, repository_, params_,
+                              &ThreadDensifyWorkspace());
   DensifyResult result;
 
   // Stage NED: per-mention argmax of the means-edge weight alone.
@@ -20,7 +21,7 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
     double best_w = -1.0;
     double total = 0.0;
     for (const auto& [e, entity_node] : means) {
-      double w = weights.MeansWeight(np, graph->node(entity_node).entity);
+      double w = eval.MeansWeight(e);
       total += std::max(w, 0.0);
       if (w > best_w) {
         best_w = w;
@@ -38,11 +39,7 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
     a.mention = np;
     a.entity = best_entity;
     a.weight = std::max(best_w, 0.0);
-    {
-      const auto& exact = weights.ExactCandidates(np);
-      a.exact_alias =
-          std::find(exact.begin(), exact.end(), best_entity) != exact.end();
-    }
+    a.exact_alias = eval.IsExactAlias(np, best_entity);
     if (best_w > 1e-12) {
       a.confidence = total > 0.0 ? std::max(best_w, 0.0) / total : 1.0;
     } else {
